@@ -172,9 +172,8 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
         merged.extend(server.latency.samples)
         throughput += server.throughput()
         dropped += server.dropped
-    counters = {name: count
-                for name, count in sorted(sim.trace.counters.items())
-                if name.startswith(CLUSTER_COUNTER_PREFIXES)}
+    counters = sim.trace.metrics.counter_values(
+        prefixes=CLUSTER_COUNTER_PREFIXES)
     if obs_config is not None:
         if obs_config.trace_out:
             write_chrome_trace(obs_config.trace_out,
@@ -193,7 +192,7 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
         rejections=cluster.admission.rejected,
         dropped=dropped,
         placements=list(cluster.placements),
-        rebalance_trips=sim.trace.counters['cluster.rebalance_trips'],
+        rebalance_trips=counters.get('cluster.rebalance_trips', 0),
         faults=fault_name,
         counters=counters,
         recovered=cluster.recovery.replaced,
@@ -203,5 +202,5 @@ def run_consolidation(strategy='vanilla', placement='first_fit', seed=0,
         events=cluster.events.to_dicts(),
         event_counts=cluster.events.counts(),
         span_drops=sim.trace.spans.dropped,
-        trace_drops=sim.trace.counters.get('trace.dropped', 0),
+        trace_drops=sim.trace.dropped,
     )

@@ -8,10 +8,11 @@ count. That is what lets a multi-second run keep full-fidelity
 percentiles of 20 µs scheduler-activation phases without retaining the
 samples themselves.
 
-The :class:`MetricsRegistry` is the typed face of the measurement
-plane: named counters, gauges, and histograms created on first use.
+The :class:`MetricsRegistry` is the simulator's one metrics store:
+named counters, gauges, and histograms created on first use.
+``Tracer.count`` increments its counters, and
 :class:`~repro.metrics.collector.RunMetrics` snapshots it at the end of
-a run instead of prefix-scraping a raw ``Counter``.
+a run.
 
 This module is dependency-free on purpose: :mod:`repro.simkernel.tracing`
 imports it, so it must not import anything from the simkernel.

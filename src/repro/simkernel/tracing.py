@@ -1,7 +1,7 @@
 """Lightweight tracing, counters, spans, and typed metrics.
 
 The tracer records structured events (time, category, payload) when
-enabled and maintains named counters unconditionally. Counters are the
+enabled and counts named events unconditionally. Counters are the
 backbone of the metrics layer; the event trace exists for debugging and
 for tests that assert on scheduler behaviour sequences.
 
@@ -11,15 +11,17 @@ Two observability hooks ride on every tracer (see ``repro.obs``):
   begin/end phase spans (SA protocol probes). Disabled by default;
   every probe is a single-attribute-test no-op until enabled.
 * :attr:`Tracer.metrics` - the :class:`~repro.obs.histograms.MetricsRegistry`
-  holding typed counters/gauges/histograms. Span durations feed the
-  histogram named after their phase automatically.
+  holding typed counters/gauges/histograms. It is the only counter
+  store: :meth:`Tracer.count` increments its counters, and
+  :attr:`Tracer.counters` is a read-only view of them. Span durations
+  feed the histogram named after their phase automatically.
 
 Event records are bounded: the ``max_records`` ring keeps the newest
 records and counts evictions under ``trace.dropped``, so a long traced
 run can no longer grow without limit.
 """
 
-from collections import Counter
+from collections.abc import Mapping
 
 from ..obs.histograms import MetricsRegistry
 from ..obs.spans import SpanRecorder
@@ -42,6 +44,28 @@ class TraceRecord:
         return '<%d %s %r>' % (self.time, self.category, self.detail)
 
 
+class CounterView(Mapping):
+    """Read-only ``{name: value}`` view of a registry's counters;
+    names never counted read 0."""
+
+    __slots__ = ('_registry',)
+
+    def __init__(self, registry):
+        self._registry = registry
+
+    def __getitem__(self, name):
+        metric = self._registry.get(name)
+        if metric is None or metric.kind != 'counter':
+            return 0
+        return metric.value
+
+    def __iter__(self):
+        return iter(self._registry.names(kind='counter'))
+
+    def __len__(self):
+        return len(self._registry.names(kind='counter'))
+
+
 class Tracer:
     """Collects :class:`TraceRecord` entries, counters, and spans."""
 
@@ -52,10 +76,9 @@ class Tracer:
         self.enabled = enabled
         self.categories = set(categories) if categories else None
         self.max_records = max_records
-        self.counters = Counter()
         self.metrics = MetricsRegistry()
+        self.counters = CounterView(self.metrics)
         self.spans = SpanRecorder(registry=self.metrics)
-        self.dropped = 0
         self._records = []
         self._head = 0              # ring start index once wrapped
 
@@ -65,6 +88,11 @@ class Tracer:
         if self._head == 0:
             return self._records
         return self._records[self._head:] + self._records[:self._head]
+
+    @property
+    def dropped(self):
+        """Trace records evicted from the ring so far."""
+        return self.counters['trace.dropped']
 
     def emit(self, time, category, **detail):
         """Record a trace event if tracing is on for this category.
@@ -80,18 +108,13 @@ class Tracer:
                 and len(self._records) >= self.max_records):
             self._records[self._head] = record
             self._head = (self._head + 1) % self.max_records
-            self.dropped += 1
-            self.counters['trace.dropped'] += 1
+            self.count('trace.dropped')
         else:
             self._records.append(record)
 
     def count(self, name, amount=1):
-        """Increment counter ``name`` by ``amount``."""
-        self.counters[name] += amount
-
-    def add_time(self, name, duration_ns):
-        """Accumulate a duration (ns) under counter ``name``."""
-        self.counters[name] += duration_ns
+        """Increment registry counter ``name`` by ``amount``."""
+        self.metrics.counter(name).inc(amount)
 
     def records_for(self, category):
         """All trace records of one category, in emission order."""
@@ -101,7 +124,5 @@ class Tracer:
         """Drop all records, counters, spans, and metrics."""
         self._records = []
         self._head = 0
-        self.dropped = 0
-        self.counters.clear()
         self.spans.clear()
         self.metrics.clear()

@@ -407,9 +407,8 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
         shed = unroutable = 0
         n_replicas = len(closed_workloads)
 
-    counters = {name: count
-                for name, count in sorted(sim.trace.counters.items())
-                if name.startswith(TRAFFIC_COUNTER_PREFIXES)}
+    counters = sim.trace.metrics.counter_values(
+        prefixes=TRAFFIC_COUNTER_PREFIXES)
     if obs_config is not None:
         if obs_config.trace_out:
             write_chrome_trace(obs_config.trace_out,
@@ -445,5 +444,5 @@ def run_traffic(strategy='vanilla', placement='first_fit', seed=0,
         events=cluster.events.to_dicts(),
         event_counts=cluster.events.counts(),
         span_drops=sim.trace.spans.dropped,
-        trace_drops=sim.trace.counters.get('trace.dropped', 0),
+        trace_drops=sim.trace.dropped,
     )

@@ -209,6 +209,8 @@ class TestClusterTraceExport:
         text = path.read_text()
         assert '# TYPE repro_placements_total counter' in text
         assert 'repro_placements_total{host="host0"}' in text
+        # Simulator counters (trace.count) share the one registry.
+        assert '# TYPE repro_cluster_host_crashes_total counter' in text
 
     def test_spans_do_not_perturb_the_summary(self):
         base = _chaos_run()

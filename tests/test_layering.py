@@ -1,24 +1,32 @@
-"""Tests for the layering lint (``tools/check_layering.py``)."""
+"""Tests for the ``layering`` pass of repro-lint, the repo's only
+layering checker (framework-level contracts live in test_replint.py)."""
 
-import importlib.util
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    'check_layering', REPO_ROOT / 'tools' / 'check_layering.py')
-check_layering = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_layering)
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tools.replint import run_passes                 # noqa: E402
+from tools.replint.passes.layering import RANKS      # noqa: E402
+
+
+def run(src_root):
+    """Active layering findings under ``src_root`` as rendered lines."""
+    findings, _ = run_passes(src_root, pass_names=['layering'])
+    return [f.render() for f in findings if f.active]
 
 
 class TestRepoIsLayered:
     def test_no_upward_imports(self):
-        violations = check_layering.run(REPO_ROOT / 'src')
+        violations = run(REPO_ROOT / 'src')
         assert violations == []
 
     def test_every_package_is_ranked(self):
         packages = {p.name for p in (REPO_ROOT / 'src' / 'repro').iterdir()
                     if p.is_dir() and (p / '__init__.py').exists()}
-        assert packages == set(check_layering.RANKS)
+        assert packages == set(RANKS)
 
 
 class TestDetection:
@@ -26,7 +34,7 @@ class TestDetection:
         pkg = tmp_path / 'repro' / package
         pkg.mkdir(parents=True)
         (pkg / name).write_text(source)
-        return check_layering.run(tmp_path)
+        return run(tmp_path)
 
     def test_upward_absolute_import_flagged(self, tmp_path):
         violations = self._lint(tmp_path, 'from repro.core import x\n')

@@ -1,5 +1,7 @@
 """Unit tests for tracing and counters."""
 
+import pytest
+
 from repro.simkernel.tracing import Tracer
 from repro.simkernel.units import (
     MS,
@@ -24,11 +26,18 @@ class TestCounters:
         t.count('x')
         assert t.counters['x'] == 1
 
-    def test_add_time(self):
+    def test_count_lands_in_registry(self):
         t = Tracer()
-        t.add_time('busy', 500)
-        t.add_time('busy', 250)
-        assert t.counters['busy'] == 750
+        t.count('x', 2)
+        assert t.metrics.counter('x').value == 2
+
+    def test_counters_view_is_read_only(self):
+        t = Tracer()
+        t.count('x')
+        t.metrics.gauge('g').set(5)
+        assert dict(t.counters) == {'x': 1}
+        with pytest.raises(TypeError):
+            t.counters['x'] = 7
 
     def test_missing_counter_is_zero(self):
         t = Tracer()
@@ -79,6 +88,7 @@ class TestRingBuffer:
         assert [r.time for r in t.records] == [2, 3, 4]
         assert t.dropped == 2
         assert t.counters['trace.dropped'] == 2
+        assert t.metrics.counter('trace.dropped').value == 2
 
     def test_below_cap_drops_nothing(self):
         t = Tracer(enabled=True, max_records=10)

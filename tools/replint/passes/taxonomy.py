@@ -10,7 +10,7 @@ report, exporter, and CI determinism gate:
   the short per-scope family names used through ``ScopedRegistry``).
 
 A string that reaches an emission sink (``spans.begin/instant/
-end_phase``, ``EventLog.append``, ``trace.count``/``add_time``,
+end_phase``, ``EventLog.append``, ``trace.count``,
 ``registry.counter/gauge/histogram``) without being declared is
 *taxonomy drift*: the name silently falls out of every registry-driven
 report — exactly how the fig5 costop metrics and the profiles.py
@@ -129,7 +129,9 @@ def run(project):
                         'event kind %r is not declared in '
                         'obs/eventlog.py; add an EVENT_* constant'
                         % value)
-            elif method in METRIC_METHODS and len(node.args) == 1:
+            elif (method in METRIC_METHODS and len(node.args) == 1) or (
+                    method == 'count' and node.args and 'trace.' in chain):
+                # trace.count(name) increments registry.counter(name).
                 value = resolver.resolve(node.args[0])
                 if value is not None and value not in metric_ok:
                     yield Finding(
@@ -138,12 +140,3 @@ def run(project):
                         'metric name %r is not declared in '
                         'obs/histograms.py (DECLARED_METRICS / '
                         'DECLARED_METRIC_FAMILIES)' % value)
-            elif method in ('count', 'add_time') and node.args \
-                    and 'trace.' in chain:
-                value = resolver.resolve(node.args[0])
-                if value is not None and value not in metric_ok:
-                    yield Finding(
-                        PASS, source.rel, node.lineno,
-                        'metric:%s' % value,
-                        'counter name %r is not declared in '
-                        'obs/histograms.py DECLARED_METRICS' % value)
