@@ -25,6 +25,10 @@ class GuestCpu:
         self.quantum_event = None
         self.tick_event = None
         self.tick_count = 0
+        # Ticks whose work was deferred while the gCPU ran its only
+        # task (see TickDriver._on_tick), and the time of the last one.
+        self.lazy_ticks = 0
+        self.lazy_last = 0
         self.rt = RtAvgTracker(vcpu, kernel.sim)
         # Stopper work (e.g. migration requests) run at next dispatch.
         self.pending_work = []
@@ -44,6 +48,7 @@ class GuestCpu:
     def load_metric(self):
         """Busyness for placement decisions: decayed busy+steal fraction
         plus live task count."""
+        self.kernel.ticks.sync(self)
         return (self.rt.update() + self.rq.nr_ready +
                 (1 if self.current is not None else 0))
 

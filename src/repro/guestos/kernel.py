@@ -120,6 +120,7 @@ class GuestKernel:
             target, preempt = self.balancer.select_gcpu_for_wake(task)
         else:
             preempt = bool(preempt_in_place)
+        self.ticks.sync(target)
         task.wakeups += 1
         task.vruntime = self.policy.place_waking_vruntime(task, target.rq)
         task.state = TASK_READY
@@ -150,6 +151,7 @@ class GuestKernel:
         self._apply_migration_penalty(task)
         task.migrations += 1
         task.gcpu = dest
+        self.ticks.sync(dest)
         task.vruntime = self.policy.place_waking_vruntime(task, dest.rq)
         dest.rq.enqueue(task)
         self.sim.trace.count('guest.pulls')
@@ -273,6 +275,7 @@ class GuestKernel:
 
     def _checkpoint(self, gcpu):
         """Charge the open execution interval to the current task."""
+        self.ticks.sync(gcpu)
         task = gcpu.current
         if task is None or gcpu.run_started_at is None:
             return
@@ -339,12 +342,21 @@ class GuestKernel:
 
     def total_busy_ns(self):
         """CPU time consumed by this VM's tasks (open stints included)."""
+        self.sync_ticks()
         total = 0
         for gcpu in self.gcpus:
             total += gcpu.busy_ns
             if gcpu.current is not None and gcpu.run_started_at is not None:
                 total += self.sim.now - gcpu.run_started_at
         return total
+
+    def sync_ticks(self):
+        """Apply every gCPU's deferred tick work (see
+        ``TickDriver._on_tick``). Code that reads task or gCPU
+        accounting from outside the kernel, such as end-of-run
+        snapshots, calls this first."""
+        for gcpu in self.gcpus:
+            self.ticks.sync(gcpu)
 
     def live_tasks(self):
         return [t for t in self.tasks if t.state != TASK_EXITED]

@@ -22,7 +22,7 @@ class RtAvgTracker:
         self.sim = sim
         self.tau_ns = tau_ns
         self.value = 0.0
-        self._last_time = sim.now
+        self.last_time = sim.now
         run, steal, __ = vcpu.snapshot_accounting(sim.now)
         self._last_run = run
         self._last_steal = steal
@@ -30,7 +30,7 @@ class RtAvgTracker:
     def update(self):
         """Fold in everything since the last update; return the avg."""
         now = self.sim.now
-        elapsed = now - self._last_time
+        elapsed = now - self.last_time
         if elapsed <= 0:
             return self.value
         run, steal, __ = self.vcpu.snapshot_accounting(now)
@@ -38,7 +38,25 @@ class RtAvgTracker:
         fraction = busy / elapsed
         decay = math.exp(-elapsed / self.tau_ns)
         self.value = decay * self.value + (1.0 - decay) * fraction
-        self._last_time = now
+        self.last_time = now
         self._last_run = run
         self._last_steal = steal
         return self.value
+
+    def replay_busy(self, count, interval_ns):
+        """Fold ``count`` back-to-back fully busy intervals of
+        ``interval_ns`` each, ending ``count * interval_ns`` after the
+        last update: bit-for-bit what ``count`` calls to :meth:`update`
+        at those instants compute. The fold stays a loop because one
+        closed-form step would round differently. Busy intervals are
+        charged as run time; only the run+steal sum enters the next
+        fraction."""
+        decay = math.exp(-interval_ns / self.tau_ns)
+        gain = 1.0 - decay
+        value = self.value
+        for __ in range(count):
+            value = decay * value + gain
+        self.value = value
+        span = count * interval_ns
+        self.last_time += span
+        self._last_run += span

@@ -132,9 +132,12 @@ class SyncEngine:
 
     def grant_spin(self, grantee):
         """A spinner won a lock: stop the pause loop and continue."""
+        gcpu = grantee.gcpu
+        # The grant comes from another gCPU's event: the grantee's
+        # deferred ticks must see the spin state they ran under.
+        self.kernel.ticks.sync(gcpu)
         grantee.spinning = False
         grantee.action = None
-        gcpu = grantee.gcpu
         if gcpu.current is grantee and gcpu.run_started_at is not None:
             self.kernel.machine.notify_spin_stop(gcpu.vcpu)
             self.kernel._run_current(gcpu)

@@ -85,13 +85,15 @@ class Task:
     # vruntime
     # ------------------------------------------------------------------
 
-    def charge(self, delta_ns):
-        """Charge ``delta_ns`` of CPU to the task's accounting. The
-        kernel separately decrements ``remaining_ns`` for compute
-        segments (spin time burns CPU without advancing the segment)."""
-        self.cpu_ns += delta_ns
-        self.stint_ns += delta_ns
-        self.vruntime += delta_ns * NICE_0_WEIGHT // self.weight
+    def charge(self, delta_ns, times=1):
+        """Charge ``times`` intervals of ``delta_ns`` CPU to the task's
+        accounting, exactly as that many single charges would (each
+        interval's vruntime is rounded on its own). The kernel
+        separately decrements ``remaining_ns`` for compute segments
+        (spin time burns CPU without advancing the segment)."""
+        self.cpu_ns += delta_ns * times
+        self.stint_ns += delta_ns * times
+        self.vruntime += delta_ns * NICE_0_WEIGHT // self.weight * times
 
     @property
     def runnable_like(self):

@@ -14,6 +14,7 @@ the hypervisor deschedules it, the guest's timers simply stop, which is
 the semantic gap IRS exists to bridge.
 """
 
+from ..hypervisor.vcpu import RUNSTATE_RUNNING
 from ..workloads import actions as act
 
 
@@ -53,6 +54,11 @@ class TickDriver:
     def __init__(self, kernel):
         self.kernel = kernel
         self.sim = kernel.sim
+        config = kernel.policy.config
+        self.tick_ns = config.tick_ns
+        self.balance_interval = config.balance_interval_ticks
+        # Bound once: every tick re-arms with it.
+        self._tick = self._on_tick
 
     # ------------------------------------------------------------------
     # Compute quantum (fires when the running segment drains)
@@ -87,35 +93,94 @@ class TickDriver:
 
     def arm_tick(self, gcpu):
         if gcpu.tick_event is None or not gcpu.tick_event.pending:
-            gcpu.tick_event = self.sim.after(
-                self.kernel.policy.config.tick_ns, self._on_tick, gcpu)
+            gcpu.tick_event = self.sim.after(self.tick_ns, self._tick, gcpu)
 
     def cancel_tick(self, gcpu):
+        self.sync(gcpu)
         if gcpu.tick_event is not None:
             gcpu.tick_event.cancel()
             gcpu.tick_event = None
 
     def _on_tick(self, gcpu):
-        """Guest timer tick: accounting, balancing, CFS preemption."""
+        """Guest timer tick: accounting, balancing, CFS preemption.
+
+        On an *alone* gCPU (current task set, empty runqueue) the tick
+        does no scheduling: ``should_resched_at_tick`` is false and the
+        boundary balance cannot pull unless a sibling has two ready
+        tasks. Such a tick only folds a fully busy interval into
+        ``rt_avg`` and checkpoints, so it is deferred: it fires and
+        re-arms as always, but just counts itself until :meth:`sync`
+        replays the deferred work before the next read or change of
+        that state."""
         gcpu.tick_event = None
-        if not gcpu.vcpu.is_running or gcpu.in_sa_handler:
+        if gcpu.vcpu.runstate != RUNSTATE_RUNNING or gcpu.in_sa_handler:
             return
-        kernel = self.kernel
         gcpu.tick_count += 1
-        self.arm_tick(gcpu)
-        gcpu.rt.update()
+        sim = self.sim
+        gcpu.tick_event = sim.after(self.tick_ns, self._tick, gcpu)
         task = gcpu.current
+        if task is not None and not gcpu.rq._entries:
+            lazy = gcpu.lazy_ticks
+            now = sim.now
+            # The interval since the last rt_avg fold must be exactly
+            # one tick long for the replay to reproduce it.
+            if (lazy or (gcpu.rt.last_time == now - self.tick_ns
+                         and gcpu.run_started_at is not None)) and (
+                    gcpu.tick_count % self.balance_interval
+                    or not self._balance_could_pull(gcpu)):
+                gcpu.lazy_ticks = lazy + 1
+                gcpu.lazy_last = now
+                return
+        self.sync(gcpu)
+        kernel = self.kernel
+        gcpu.rt.update()
         if task is None:
             return
         kernel._checkpoint(gcpu)
-        interval = kernel.policy.config.balance_interval_ticks
-        if gcpu.tick_count % interval == 0:
-            kernel.balancer.periodic_balance(gcpu, self.sim.now)
+        if gcpu.tick_count % self.balance_interval == 0:
+            kernel.balancer.periodic_balance(gcpu, sim.now)
             if gcpu.rq.nr_ready > 0:
                 self.nohz_kick(gcpu)
         if gcpu.current is task and kernel.policy.should_resched_at_tick(
                 task, gcpu.rq):
             kernel._preempt_current(gcpu)
+
+    def _balance_could_pull(self, gcpu):
+        """Whether a periodic balance on alone ``gcpu`` might pull: only
+        when some online sibling has more ready tasks than ``gcpu``'s
+        load of one (see ``GuestBalancer.find_pull_candidate``)."""
+        for other in self.kernel.gcpus:
+            if len(other.rq._entries) > 1 and other.online \
+                    and other is not gcpu:
+                return True
+        return False
+
+    def sync(self, gcpu):
+        """Apply the work of ``gcpu``'s deferred ticks, exactly as those
+        ticks would have: replay their ``rt_avg`` folds, then charge
+        their checkpoints (integer and monotone, so one charge of the
+        whole stint equals the per-tick sequence, vruntime rounding
+        kept per tick). Every reader or writer of the deferred state
+        calls this first: checkpoints, tick cancellation,
+        ``load_metric``, wake and pull targets, spin grants, busy-time
+        totals and end-of-run snapshots."""
+        count = gcpu.lazy_ticks
+        if not count:
+            return
+        gcpu.lazy_ticks = 0
+        tick_ns = self.tick_ns
+        gcpu.rt.replay_busy(count, tick_ns)
+        task = gcpu.current
+        last = gcpu.lazy_last
+        first = last - (count - 1) * tick_ns - gcpu.run_started_at
+        task.charge(first)
+        task.charge(tick_ns, count - 1)
+        stint = last - gcpu.run_started_at
+        if isinstance(task.action, act.Compute) and not task.spinning:
+            task.remaining_ns = max(0, task.remaining_ns - stint)
+        gcpu.busy_ns += stint
+        gcpu.run_started_at = last
+        gcpu.rq.update_min_vruntime(task)
 
     def nohz_kick(self, busy_gcpu):
         """NOHZ idle balancing: a busy CPU with queued work kicks one

@@ -77,6 +77,7 @@ class RunMetrics:
         self.vms = {vm.name: VmMetrics(vm, now) for vm in machine.vms}
         self.tasks = {}
         for kernel in kernels:
+            kernel.sync_ticks()
             for task in kernel.tasks:
                 self.tasks[task.name] = TaskMetrics(task)
         self.registry = machine.sim.trace.metrics.snapshot()

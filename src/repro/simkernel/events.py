@@ -8,7 +8,7 @@ in the heap and is discarded when popped — which keeps both ``schedule``
 and ``cancel`` O(log n) worst case and O(1) amortized for cancel.
 """
 
-import heapq
+from heapq import heappop, heappush
 
 
 class Event:
@@ -70,9 +70,15 @@ class EventQueue:
         """Schedule ``callback(*args)`` at absolute ``time``; return handle."""
         if time < 0:
             raise ValueError('event time must be non-negative, got %r' % time)
-        self._seq += 1
-        event = Event(time, self._seq, callback, args, queue=self)
-        heapq.heappush(self._heap, (time, self._seq, event))
+        return self.push(time, callback, args)
+
+    def push(self, time, callback, args):
+        """Unchecked :meth:`schedule`: ``args`` is the argument tuple
+        and ``time`` must already be valid (the simulator's scheduling
+        calls guarantee it is never in the past)."""
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, callback, args, self)
+        heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -92,7 +98,7 @@ class EventQueue:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        __, __, event = heapq.heappop(self._heap)
+        __, __, event = heappop(self._heap)
         event.fired = True
         self._live -= 1
         return event
@@ -115,7 +121,7 @@ class EventQueue:
     def _drop_cancelled_head(self):
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
 
     def clear(self):
         """Drop every pending event."""

@@ -12,7 +12,10 @@ two-level scheduler:
   is exactly one of current / queued / sleeping / migrating / exited;
 * the clock is monotone;
 * credits are conserved within the scheduler's clip band
-  ``[-credit_cap, credit_cap]``.
+  ``[-credit_cap, credit_cap]``;
+* a guest CPU defers tick work only while alone and running
+  ("deferred_ticks_alone"): its vCPU runs, it has a current task and an
+  empty runqueue, and it is not inside an SA upcall handler.
 
 vCPUs that carry an SA protocol object (``vcpu.sa_protocol``, created
 by the IRS sender — see ``repro.core.protocol``) get three more:
@@ -292,6 +295,8 @@ class Sanitizer:
         queued_tasks = set()
         for gcpu in kernel.gcpus:
             task = gcpu.current
+            if gcpu.lazy_ticks:
+                self._check_deferred_ticks(gcpu, event)
             if task is not None:
                 if task.state != 'running':
                     self._fail('one_task_per_vcpu',
@@ -330,6 +335,24 @@ class Sanitizer:
                 self._fail('no_lost_or_dup_tasks',
                            '%s claims ready but is queued nowhere (lost '
                            'across migration)' % task.name, event)
+
+    def _check_deferred_ticks(self, gcpu, event):
+        """Deferred tick work is replayed as fully busy intervals of the
+        current task, so it may only be pending while that holds."""
+        broken = []
+        if not gcpu.vcpu.is_running:
+            broken.append('vCPU is %s' % gcpu.vcpu.runstate)
+        if gcpu.current is None:
+            broken.append('no current task')
+        if gcpu.rq.nr_ready:
+            broken.append('%d task(s) queued' % gcpu.rq.nr_ready)
+        if gcpu.in_sa_handler:
+            broken.append('inside the SA upcall handler')
+        if broken:
+            self._fail('deferred_ticks_alone',
+                       '%s holds %d deferred tick(s) but %s'
+                       % (gcpu.name, gcpu.lazy_ticks, ', '.join(broken)),
+                       event)
 
     def _check_cluster(self, cluster, event):
         residency = {}               # vm -> [host names]

@@ -7,9 +7,14 @@ deterministic: given the same seed and model, two runs produce identical
 event sequences.
 """
 
+from heapq import heappop
+
 from .events import EventQueue
 from .rng import RngRegistry
 from .tracing import Tracer
+
+
+_INFINITY = float('inf')
 
 
 class SimulationError(Exception):
@@ -83,18 +88,18 @@ class Simulator:
         if time < self.now:
             raise SimulationError(
                 'cannot schedule at %d, now is %d' % (time, self.now))
-        return self._queue.schedule(time, callback, *args)
+        return self._queue.push(time, callback, args)
 
     def after(self, delay, callback, *args):
         """Schedule ``callback(*args)`` ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError('negative delay %d' % delay)
-        return self._queue.schedule(self.now + delay, callback, *args)
+        return self._queue.push(self.now + delay, callback, args)
 
     def call_soon(self, callback, *args):
         """Schedule ``callback(*args)`` at the current time (after any
         event currently firing completes)."""
-        return self._queue.schedule(self.now, callback, *args)
+        return self._queue.push(self.now, callback, args)
 
     # ------------------------------------------------------------------
     # Post-event hooks
@@ -151,19 +156,9 @@ class Simulator:
         :class:`LivelockError` with a summary of the pending events (it
         indicates a livelock in the model).
         """
-        processed = 0
-        self._stopped = False
-        while not self._stopped:
-            next_time = self._queue.peek_time()
-            if next_time is None or next_time > end_time:
-                self.now = max(self.now, end_time)
-                break
-            if not self.step():
-                break
-            processed += 1
-            if max_events is not None and processed > max_events:
-                raise LivelockError(max_events, 'before %d' % end_time,
-                                    self._queue, self.now)
+        processed = self._run(end_time, max_events)
+        if not self._stopped:
+            self.now = max(self.now, end_time)
         return processed
 
     def run_until_idle(self, max_events=10_000_000):
@@ -171,13 +166,43 @@ class Simulator:
 
         Exceeding ``max_events`` raises :class:`LivelockError` with the
         pending-event summary."""
+        return self._run(None, max_events)
+
+    def _run(self, end_time, max_events):
+        """The event loop: fire events in (time, seq) order until one
+        lies past ``end_time`` (None: never), the queue drains, or
+        ``stop()`` is called. Each iteration drops cancelled heads and
+        pops in one pass over the heap."""
+        queue = self._queue
+        heap = queue._heap
+        hooks = self._post_event_hooks
+        limit = _INFINITY if end_time is None else end_time
+        budget = _INFINITY if max_events is None else max_events
         processed = 0
         self._stopped = False
-        while not self._stopped and self.step():
+        while not self._stopped:
+            while heap and heap[0][2].cancelled:
+                heappop(heap)
+            if not heap or heap[0][0] > limit:
+                break
+            time, __, event = heappop(heap)
+            event.fired = True
+            queue._live -= 1
+            if time < self.now:
+                raise SimulationError(
+                    'event at %d in the past (now %d)' % (time, self.now))
+            self.now = time
+            self._events_processed += 1
+            self._last_event = event
+            event.callback(*event.args)
+            if hooks:
+                for hook in hooks:
+                    hook(event)
             processed += 1
-            if processed > max_events:
-                raise LivelockError(max_events, 'while draining',
-                                    self._queue, self.now)
+            if processed > budget:
+                raise LivelockError(
+                    max_events, 'while draining' if end_time is None
+                    else 'before %d' % end_time, queue, self.now)
         return processed
 
     @property

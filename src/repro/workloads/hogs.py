@@ -31,4 +31,5 @@ class HogWorkload:
 
     def consumed_ns(self):
         """Total CPU the hogs managed to burn."""
+        self.kernel.sync_ticks()
         return sum(task.cpu_ns for task in self.tasks)

@@ -138,3 +138,17 @@ class TestCatchesCorruption:
         sanitizer.check_now()
         assert any(v.invariant == 'clock_monotonic'
                    for v in sanitizer.violations)
+
+    def test_deferred_ticks_on_idle_gcpu_detected(self):
+        sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')
+        kernel.spawn('a', hog(), gcpu_index=0)
+        machine.start()
+        sim.run_until(10 * MS)
+        idle = kernel.gcpus[1]
+        idle.lazy_ticks = 2                    # corrupt: idle CPU defers
+        sanitizer.check_now()
+        [violation] = [v for v in sanitizer.violations
+                       if v.invariant == 'deferred_ticks_alone']
+        assert idle.name in violation.message
+        assert 'no current task' in violation.message
+        assert 'vCPU is blocked' in violation.message
