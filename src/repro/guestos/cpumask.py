@@ -29,6 +29,8 @@ class CpuHotplug:
         survivors = [g for g in kernel.gcpus if g is not gcpu and g.online]
         if not survivors:
             raise RuntimeError('cannot offline the last online CPU')
+        # The evacuation changes current tasks and runqueues.
+        kernel.ticks.sound_all()
         gcpu.online = False
         kernel.sim.trace.count('guest.cpu_offline')
         # Evacuate queued tasks.
@@ -60,5 +62,7 @@ class CpuHotplug:
         gcpu = self.kernel.gcpus[index]
         if gcpu.online:
             return
+        # A returning sibling may hold tasks a balance tick could pull.
+        self.kernel.ticks.sound_all()
         gcpu.online = True
         self.kernel.sim.trace.count('guest.cpu_online')

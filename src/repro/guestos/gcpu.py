@@ -17,7 +17,7 @@ class GuestCpu:
         self.vcpu = vcpu
         self.index = index
         self.name = '%s.cpu%d' % (kernel.vm.name, index)
-        self.rq = RunQueue(self)
+        self.rq = RunQueue(self, kernel.ticks)
         self.current = None
         # Simulation time when the current task's live stint began;
         # None whenever the task is not actually consuming cycles.
@@ -29,6 +29,9 @@ class GuestCpu:
         # task (see TickDriver._on_tick), and the time of the last one.
         self.lazy_ticks = 0
         self.lazy_last = 0
+        # While the tick chain is silenced: the time of the last tick
+        # already counted in lazy_ticks (None while the chain fires).
+        self.silent_base = None
         self.rt = RtAvgTracker(vcpu, kernel.sim)
         # Stopper work (e.g. migration requests) run at next dispatch.
         self.pending_work = []
@@ -48,7 +51,10 @@ class GuestCpu:
     def load_metric(self):
         """Busyness for placement decisions: decayed busy+steal fraction
         plus live task count."""
-        self.kernel.ticks.sync(self)
+        ticks = self.kernel.ticks
+        # The off-grid rt update below makes the next tick do its work.
+        ticks.sound(self)
+        ticks.sync(self)
         return (self.rt.update() + self.rq.nr_ready +
                 (1 if self.current is not None else 0))
 

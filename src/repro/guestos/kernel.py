@@ -40,6 +40,8 @@ class GuestKernel:
         self.machine = machine
         self.hypercalls = machine.hypercalls
         self.policy = CfsPolicy(cfs_config or CfsConfig())
+        # Before the gCPUs: their runqueues watch its silent chains.
+        self.ticks = TickDriver(self)
         self.gcpus = []
         for i, vcpu in enumerate(vm.vcpus):
             gcpu = GuestCpu(self, vcpu, i)
@@ -47,7 +49,6 @@ class GuestKernel:
             self.gcpus.append(gcpu)
         self.balancer = GuestBalancer(self, self.policy)
         self.timers = TimerService(sim, self)
-        self.ticks = TickDriver(self)
         self.sync = SyncEngine(self)
         self.interp = ActionInterpreter(self)
         self.hotplug = CpuHotplug(self)
@@ -239,6 +240,7 @@ class GuestKernel:
     def _exit_current(self, gcpu):
         task = gcpu.current
         self._checkpoint(gcpu)
+        self.ticks.sound(gcpu)
         self.ticks.cancel_quantum(gcpu)
         task.state = TASK_EXITED
         task.finished_at = self.sim.now
@@ -254,6 +256,7 @@ class GuestKernel:
         if task is None:
             return
         self._checkpoint(gcpu)
+        self.ticks.sound(gcpu)
         self.ticks.cancel_quantum(gcpu)
         if task.spinning:
             self.machine.notify_spin_stop(gcpu.vcpu)
@@ -267,6 +270,7 @@ class GuestKernel:
         """Current task sleeps (lock/barrier/queue/timer wait)."""
         task = gcpu.current
         self._checkpoint(gcpu)
+        self.ticks.sound(gcpu)
         self.ticks.cancel_quantum(gcpu)
         task.state = TASK_SLEEPING
         task.last_descheduled = self.sim.now
@@ -307,6 +311,7 @@ class GuestKernel:
         """SA upcall arrived: pause the current task's accounting while
         the handler runs (handler time is kernel time)."""
         self._checkpoint(gcpu)
+        self.ticks.sound(gcpu)
         self.ticks.cancel_quantum(gcpu)
         if gcpu.current is not None and gcpu.current.spinning:
             self.machine.notify_spin_stop(gcpu.vcpu)

@@ -110,6 +110,7 @@ class MigrationStopper:
         source = task.gcpu
         kernel = self.kernel
         kernel._checkpoint(source)
+        kernel.ticks.sound(source)
         kernel.ticks.cancel_quantum(source)
         if task.spinning:
             kernel.machine.notify_spin_stop(source.vcpu)

@@ -14,10 +14,15 @@ class RunQueue:
     never sees the "running" task of a preempted vCPU.
     """
 
-    def __init__(self, gcpu):
+    def __init__(self, gcpu, ticks=None):
         self.gcpu = gcpu
         self._entries = []           # sorted (vruntime, tid, task)
         self.min_vruntime = 0
+        # The kernel's TickDriver and its list of silenced tick chains
+        # (empty without a kernel): while any chain is silent, an
+        # enqueue may end it (see TickDriver.enqueued).
+        self._ticks = ticks
+        self._silent = ticks.silent if ticks is not None else ()
 
     def __len__(self):
         return len(self._entries)
@@ -32,6 +37,8 @@ class RunQueue:
             raise RuntimeError('enqueue of %s in state %s'
                                % (task.name, task.state))
         insort(self._entries, (task.vruntime, task.tid, task))
+        if self._silent:
+            self._ticks.enqueued(self)
 
     def dequeue(self, task):
         """Remove a specific task (it must be present)."""

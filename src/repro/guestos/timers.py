@@ -12,6 +12,13 @@ drains), the scheduler tick (accounting, periodic balancing, CFS
 preemption), and the NOHZ idle kick. Ticks freeze with the vCPU — when
 the hypervisor deschedules it, the guest's timers simply stop, which is
 the semantic gap IRS exists to bridge.
+
+A gCPU running its only task defers its ticks' work, and while nothing
+can end that, its tick chain is *silenced* (``Simulator.silence``): the
+event loop re-arms it in place with the same sequence numbers, and
+:meth:`TickDriver.sync` counts the ticks from the event's time. Every
+change to an input of the deferral test *sounds* the chain first
+(:meth:`TickDriver.sound`), so the next tick fires where it would have.
 """
 
 from ..hypervisor.vcpu import RUNSTATE_RUNNING
@@ -59,6 +66,9 @@ class TickDriver:
         self.balance_interval = config.balance_interval_ticks
         # Bound once: every tick re-arms with it.
         self._tick = self._on_tick
+        # gCPUs whose tick chain is silenced, shared with every
+        # runqueue of the kernel (see RunQueue.enqueue).
+        self.silent = []
 
     # ------------------------------------------------------------------
     # Compute quantum (fires when the running segment drains)
@@ -96,6 +106,7 @@ class TickDriver:
             gcpu.tick_event = self.sim.after(self.tick_ns, self._tick, gcpu)
 
     def cancel_tick(self, gcpu):
+        self.sound(gcpu)
         self.sync(gcpu)
         if gcpu.tick_event is not None:
             gcpu.tick_event.cancel()
@@ -108,29 +119,36 @@ class TickDriver:
         does no scheduling: ``should_resched_at_tick`` is false and the
         boundary balance cannot pull unless a sibling has two ready
         tasks. Such a tick only folds a fully busy interval into
-        ``rt_avg`` and checkpoints, so it is deferred: it fires and
-        re-arms as always, but just counts itself until :meth:`sync`
-        replays the deferred work before the next read or change of
-        that state."""
+        ``rt_avg`` and checkpoints, so it is deferred: it re-arms as
+        always, but just counts itself until :meth:`sync` replays the
+        deferred work before the next read or change of that state.
+        When no sibling could be pulled from, every later tick is
+        deferred too until a sound point, so the re-armed event is
+        silenced and those ticks do not fire at all."""
         gcpu.tick_event = None
         if gcpu.vcpu.runstate != RUNSTATE_RUNNING or gcpu.in_sa_handler:
             return
         gcpu.tick_count += 1
         sim = self.sim
-        gcpu.tick_event = sim.after(self.tick_ns, self._tick, gcpu)
+        tick_ns = self.tick_ns
+        gcpu.tick_event = event = sim.after(tick_ns, self._tick, gcpu)
         task = gcpu.current
         if task is not None and not gcpu.rq._entries:
             lazy = gcpu.lazy_ticks
             now = sim.now
             # The interval since the last rt_avg fold must be exactly
             # one tick long for the replay to reproduce it.
-            if (lazy or (gcpu.rt.last_time == now - self.tick_ns
-                         and gcpu.run_started_at is not None)) and (
-                    gcpu.tick_count % self.balance_interval
-                    or not self._balance_could_pull(gcpu)):
-                gcpu.lazy_ticks = lazy + 1
-                gcpu.lazy_last = now
-                return
+            if lazy or (gcpu.rt.last_time == now - tick_ns
+                        and gcpu.run_started_at is not None):
+                could_pull = self._balance_could_pull(gcpu)
+                if not could_pull or gcpu.tick_count % self.balance_interval:
+                    gcpu.lazy_ticks = lazy + 1
+                    gcpu.lazy_last = now
+                    if not could_pull:
+                        sim.silence(event, tick_ns)
+                        gcpu.silent_base = now
+                        self.silent.append(gcpu)
+                    return
         self.sync(gcpu)
         kernel = self.kernel
         gcpu.rt.update()
@@ -155,6 +173,45 @@ class TickDriver:
                 return True
         return False
 
+    def _fold(self, gcpu):
+        """Count the ticks ``gcpu``'s silenced chain skipped since its
+        silent base as deferred ticks: one per ``tick_ns`` up to the
+        event's next firing time."""
+        tick_ns = self.tick_ns
+        base = gcpu.silent_base
+        count = (gcpu.tick_event.time - tick_ns - base) // tick_ns
+        if count:
+            gcpu.lazy_ticks += count
+            gcpu.tick_count += count
+            gcpu.silent_base = gcpu.lazy_last = base + count * tick_ns
+
+    def sound(self, gcpu):
+        """End ``gcpu``'s silent tick chain, if it has one: fold its
+        skipped ticks, then let the event fire at its current key.
+        Called before any input of the deferral test changes: an
+        enqueue, a change of current task, an SA upcall, an off-grid
+        ``rt_avg`` update, tick cancellation and CPU hotplug."""
+        if gcpu.silent_base is not None:
+            self._fold(gcpu)
+            gcpu.silent_base = None
+            self.sim.sound(gcpu.tick_event)
+            self.silent.remove(gcpu)
+
+    def sound_all(self):
+        """End every silent tick chain of the kernel."""
+        silent = self.silent
+        while silent:
+            self.sound(silent[-1])
+
+    def enqueued(self, rq):
+        """A task joined ``rq`` while some chain is silent: its gCPU is
+        no longer alone, and a runqueue two deep lets the balance tick
+        of every alone sibling pull."""
+        if len(rq._entries) > 1:
+            self.sound_all()
+        else:
+            self.sound(rq.gcpu)
+
     def sync(self, gcpu):
         """Apply the work of ``gcpu``'s deferred ticks, exactly as those
         ticks would have: replay their ``rt_avg`` folds, then charge
@@ -163,7 +220,10 @@ class TickDriver:
         kept per tick). Every reader or writer of the deferred state
         calls this first: checkpoints, tick cancellation,
         ``load_metric``, wake and pull targets, spin grants, busy-time
-        totals and end-of-run snapshots."""
+        totals and end-of-run snapshots. A silenced chain stays
+        silent; its skipped ticks are folded in first."""
+        if gcpu.silent_base is not None:
+            self._fold(gcpu)
         count = gcpu.lazy_ticks
         if not count:
             return

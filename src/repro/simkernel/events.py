@@ -6,6 +6,11 @@ sequence number, so two events scheduled for the same instant fire in the
 order they were scheduled. Cancellation is lazy — a cancelled event stays
 in the heap and is discarded when popped — which keeps both ``schedule``
 and ``cancel`` O(log n) worst case and O(1) amortized for cancel.
+
+An event with a nonzero ``period`` is *silenced*: the simulator's run
+loop does not fire it but re-keys it in place, taking the next sequence
+number and moving it ``period`` later, exactly as a callback that only
+re-armed itself would (see ``Simulator.silence``).
 """
 
 from heapq import heappop, heappush
@@ -15,11 +20,12 @@ class Event:
     """A scheduled callback. Returned by :meth:`EventQueue.schedule`.
 
     Instances are handles: hold one to :meth:`cancel` the event before it
-    fires. An event fires at most once.
+    fires. An event fires at most once. While ``period`` is nonzero the
+    event is silenced and stays pending, re-armed every ``period`` ns.
     """
 
     __slots__ = ('time', 'seq', 'callback', 'args', 'cancelled', 'fired',
-                 '_queue')
+                 'period', '_queue')
 
     def __init__(self, time, seq, callback, args, queue=None):
         self.time = time
@@ -28,6 +34,7 @@ class Event:
         self.args = args
         self.cancelled = False
         self.fired = False
+        self.period = 0
         self._queue = queue
 
     def cancel(self):
@@ -45,7 +52,8 @@ class Event:
 
     def __repr__(self):
         state = 'fired' if self.fired else (
-            'cancelled' if self.cancelled else 'pending')
+            'cancelled' if self.cancelled else
+            'silent' if self.period else 'pending')
         name = getattr(self.callback, '__qualname__',
                        getattr(self.callback, '__name__', repr(self.callback)))
         return '<Event t=%d %s %s>' % (self.time, name, state)

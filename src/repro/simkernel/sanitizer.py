@@ -15,7 +15,11 @@ two-level scheduler:
   ``[-credit_cap, credit_cap]``;
 * a guest CPU defers tick work only while alone and running
   ("deferred_ticks_alone"): its vCPU runs, it has a current task and an
-  empty runqueue, and it is not inside an SA upcall handler.
+  empty runqueue, and it is not inside an SA upcall handler;
+* a guest CPU's tick chain is silenced only under the same conditions,
+  with its silent base recorded and no online sibling holding two or
+  more ready tasks, since that sibling would let a balance tick pull
+  ("silent_ticks_alone").
 
 vCPUs that carry an SA protocol object (``vcpu.sa_protocol``, created
 by the IRS sender — see ``repro.core.protocol``) get three more:
@@ -118,7 +122,7 @@ class Sanitizer:
         self._sa_illegal_seen = {}
         self._countdown = interval
         self._last_now = sim.now
-        self._hook = sim.add_post_event_hook(self._on_event)
+        self._hook = sim.add_post_event_hook(self.on_event)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -149,7 +153,10 @@ class Sanitizer:
     # Event-loop hook
     # ------------------------------------------------------------------
 
-    def _on_event(self, event):
+    def on_event(self, event):
+        """Count down to the next check; called after every processed
+        event and, through ``Simulator.sanitizer``, at every silent
+        re-arm of a silenced event."""
         self._countdown -= 1
         if self._countdown > 0:
             return
@@ -297,6 +304,8 @@ class Sanitizer:
             task = gcpu.current
             if gcpu.lazy_ticks:
                 self._check_deferred_ticks(gcpu, event)
+            if gcpu.tick_event is not None and gcpu.tick_event.period:
+                self._check_silent_ticks(kernel, gcpu, event)
             if task is not None:
                 if task.state != 'running':
                     self._fail('one_task_per_vcpu',
@@ -336,9 +345,9 @@ class Sanitizer:
                            '%s claims ready but is queued nowhere (lost '
                            'across migration)' % task.name, event)
 
-    def _check_deferred_ticks(self, gcpu, event):
-        """Deferred tick work is replayed as fully busy intervals of the
-        current task, so it may only be pending while that holds."""
+    @staticmethod
+    def _not_alone(gcpu):
+        """Why ``gcpu`` is not running its only task, if it is not."""
         broken = []
         if not gcpu.vcpu.is_running:
             broken.append('vCPU is %s' % gcpu.vcpu.runstate)
@@ -348,11 +357,32 @@ class Sanitizer:
             broken.append('%d task(s) queued' % gcpu.rq.nr_ready)
         if gcpu.in_sa_handler:
             broken.append('inside the SA upcall handler')
+        return broken
+
+    def _check_deferred_ticks(self, gcpu, event):
+        """Deferred tick work is replayed as fully busy intervals of the
+        current task, so it may only be pending while that holds."""
+        broken = self._not_alone(gcpu)
         if broken:
             self._fail('deferred_ticks_alone',
                        '%s holds %d deferred tick(s) but %s'
                        % (gcpu.name, gcpu.lazy_ticks, ', '.join(broken)),
                        event)
+
+    def _check_silent_ticks(self, kernel, gcpu, event):
+        """A silenced tick chain stands for ticks that would all be
+        deferred, so every input of that decision must still hold."""
+        broken = self._not_alone(gcpu)
+        if gcpu.silent_base is None:
+            broken.append('no silent base recorded')
+        for other in kernel.gcpus:
+            if other is not gcpu and other.online and other.rq.nr_ready > 1:
+                broken.append('online sibling %s has %d ready tasks'
+                              % (other.name, other.rq.nr_ready))
+        if broken:
+            self._fail('silent_ticks_alone',
+                       '%s has a silenced tick chain but %s'
+                       % (gcpu.name, ', '.join(broken)), event)
 
     def _check_cluster(self, cluster, event):
         residency = {}               # vm -> [host names]

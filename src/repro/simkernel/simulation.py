@@ -7,7 +7,7 @@ deterministic: given the same seed and model, two runs produce identical
 event sequences.
 """
 
-from heapq import heappop
+from heapq import heappop, heapreplace
 
 from .events import EventQueue
 from .rng import RngRegistry
@@ -101,6 +101,29 @@ class Simulator:
         event currently firing completes)."""
         return self._queue.push(self.now, callback, args)
 
+    def silence(self, event, period):
+        """Stop firing pending ``event``; re-arm it every ``period`` ns
+        instead. Each time the run loop reaches it, the event takes the
+        next sequence number and moves ``period`` later, which is all a
+        callback that only re-arms itself with :meth:`after` would do.
+        No callback or post-event hook runs and ``events_processed``
+        does not move, but each re-arm counts against ``max_events``
+        and is shown to :attr:`sanitizer`. The event stays pending and
+        cancellable throughout; its owner derives how many re-arms
+        happened from ``event.time``."""
+        if period <= 0:
+            raise SimulationError('silence period must be positive, got %r'
+                                  % period)
+        if not event.pending:
+            raise SimulationError('cannot silence %r' % event)
+        event.period = period
+
+    def sound(self, event):
+        """Undo :meth:`silence`: ``event`` fires normally at its current
+        ``(time, seq)`` key, which is exactly where the re-arming
+        callback's last re-arm would have put it."""
+        event.period = 0
+
     # ------------------------------------------------------------------
     # Post-event hooks
     # ------------------------------------------------------------------
@@ -132,10 +155,23 @@ class Simulator:
         self._stopped = True
 
     def step(self):
-        """Process one event. Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
+        """Process one event. Returns False when the queue is empty. A
+        silenced event at the head is re-armed instead of fired, as the
+        run loop does, and that counts as the step."""
+        queue = self._queue
+        if queue.peek_time() is None:
             return False
+        event = queue._heap[0][2]
+        if event.period:
+            self.now = event.time
+            queue._seq = seq = queue._seq + 1
+            event.time += event.period
+            event.seq = seq
+            heapreplace(queue._heap, (event.time, seq, event))
+            if self.sanitizer is not None:
+                self.sanitizer.on_event(event)
+            return True
+        event = queue.pop()
         if event.time < self.now:
             raise SimulationError(
                 'event at %d in the past (now %d)' % (event.time, self.now))
@@ -181,11 +217,31 @@ class Simulator:
         processed = 0
         self._stopped = False
         while not self._stopped:
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-            if not heap or heap[0][0] > limit:
+            # Head scan: drop cancelled events and re-key silenced ones
+            # in place (as ``step`` does for one).
+            while heap:
+                time, __, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if not event.period or time > limit:
+                    break
+                self.now = time
+                queue._seq = seq = queue._seq + 1
+                event.time = time = time + event.period
+                event.seq = seq
+                heapreplace(heap, (time, seq, event))
+                budget -= 1
+                if processed > budget:
+                    raise self._livelock(max_events, end_time)
+                sanitizer = self.sanitizer
+                if sanitizer is not None:
+                    sanitizer.on_event(event)
+            else:
                 break
-            time, __, event = heappop(heap)
+            if time > limit:
+                break
+            heappop(heap)
             event.fired = True
             queue._live -= 1
             if time < self.now:
@@ -200,10 +256,13 @@ class Simulator:
                     hook(event)
             processed += 1
             if processed > budget:
-                raise LivelockError(
-                    max_events, 'while draining' if end_time is None
-                    else 'before %d' % end_time, queue, self.now)
+                raise self._livelock(max_events, end_time)
         return processed
+
+    def _livelock(self, max_events, end_time):
+        return LivelockError(
+            max_events, 'while draining' if end_time is None
+            else 'before %d' % end_time, self._queue, self.now)
 
     @property
     def pending_events(self):
@@ -212,5 +271,14 @@ class Simulator:
 
     @property
     def events_processed(self):
-        """Total events processed since construction."""
+        """Total events processed since construction (silent re-arms
+        are not events processed)."""
         return self._events_processed
+
+    @property
+    def events_scheduled(self):
+        """Sequence numbers consumed since construction: one per
+        scheduling call and one per silent re-arm. Silencing an event
+        leaves this count unchanged, so it is the exact measure of the
+        simulated work."""
+        return self._queue._seq

@@ -113,8 +113,17 @@ class Tracer:
             self._records.append(record)
 
     def count(self, name, amount=1):
-        """Increment registry counter ``name`` by ``amount``."""
-        self.metrics.counter(name).inc(amount)
+        """Increment registry counter ``name`` by ``amount``.
+
+        The hot path bumps an existing counter in place, in this one
+        frame; first use, a kind clash (``TypeError``) and a negative
+        amount (``ValueError``) go through ``MetricsRegistry.counter``
+        and ``CounterMetric.inc``."""
+        metric = self.metrics._metrics.get(name)
+        if metric is not None and metric.kind == 'counter' and amount >= 0:
+            metric.value += amount
+        else:
+            self.metrics.counter(name).inc(amount)
 
     def records_for(self, category):
         """All trace records of one category, in emission order."""

@@ -482,6 +482,52 @@ class TestDeferredTicks:
         # Charged from the tick at 5.0 ms, not from the grant at 5.3 ms.
         assert spinner.remaining_ns == 10 * MS - 1500 * US + penalty
 
+    def test_alone_tick_chain_is_silent(self, sim):
+        __, kernel, __ = self._alone_hog(sim)
+        gcpu = kernel.gcpus[0]
+        assert gcpu.tick_event.period == kernel.ticks.tick_ns
+        assert kernel.ticks.silent == [gcpu]
+        # Ticks 2..7 ms re-armed in place: sequence numbers consumed,
+        # no events fired.
+        assert sim.events_scheduled - sim.events_processed >= 6
+        kernel.sync_ticks()
+        assert gcpu.tick_count == 7
+        assert gcpu.silent_base == gcpu.lazy_last == 7 * MS
+        assert gcpu.tick_event.period    # a read-only sync stays silent
+
+    def test_load_metric_sounds_the_chain(self, sim):
+        __, kernel, __ = self._alone_hog(sim)
+        gcpu = kernel.gcpus[0]
+        gcpu.load_metric()
+        assert gcpu.tick_event.period == 0
+        assert gcpu.silent_base is None
+        assert kernel.ticks.silent == []
+        assert gcpu.tick_count == 7
+
+    def test_two_deep_sibling_sounds_every_chain_and_balance_pulls(self, sim):
+        machine, vm, kernel = single_vm_machine(sim, n_pcpus=2, n_vcpus=2)
+        for name, index in (('a', 0), ('b', 1)):
+            kernel.spawn(name, iter([Compute(50 * MS)]), gcpu_index=index)
+        sim.run_until(5500 * US)
+        cpu0, cpu1 = kernel.gcpus
+        assert kernel.ticks.silent == [cpu0, cpu1]
+        kernel.spawn('c', iter([Compute(50 * MS)]), gcpu_index=1)
+        assert cpu1.tick_event.period == 0 and cpu1.rq.nr_ready == 1
+        # cpu0's 6 ms tick silences its chain again: one ready task on
+        # cpu1 gives its balance nothing to pull.
+        sim.run_until(6500 * US)
+        assert kernel.ticks.silent == [cpu0]
+        kernel.spawn('d', iter([Compute(50 * MS)]), gcpu_index=1)
+        assert cpu1.rq.nr_ready == 2
+        assert kernel.ticks.silent == []
+        assert cpu0.tick_event.period == 0 and cpu0.silent_base is None
+        pulls = sim.trace.counters['guest.pulls']
+        # cpu0's next balance boundary is its 8th tick, at 8 ms.
+        sim.run_until(8 * MS)
+        assert cpu0.tick_count == 8
+        assert sim.trace.counters['guest.pulls'] == pulls + 1
+        assert (cpu0.rq.nr_ready, cpu1.rq.nr_ready) == (1, 1)
+
     def test_load_metric_replays_each_tick_fold(self, sim):
         machine, vm, kernel = single_vm_machine(sim)
         kernel.spawn('t', iter([Compute(50 * MS)]))

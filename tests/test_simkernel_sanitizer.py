@@ -1,5 +1,7 @@
 """Unit tests for the runtime scheduler sanitizer."""
 
+import types
+
 import pytest
 
 from repro.simkernel import (
@@ -138,6 +140,29 @@ class TestCatchesCorruption:
         sanitizer.check_now()
         assert any(v.invariant == 'clock_monotonic'
                    for v in sanitizer.violations)
+
+    def test_silent_ticks_off_alone_gcpu_detected(self):
+        sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')
+        kernel.spawn('a', hog(), gcpu_index=0)
+        machine.start()
+        sim.run_until(10 * MS)
+        silent, sibling = kernel.gcpus
+        assert silent.tick_event.period       # alone: chain silenced
+        # Corrupt: an SA handler entered, the silent base lost and two
+        # tasks queued on the sibling, all without sounding the chain.
+        silent.in_sa_handler = True
+        silent.silent_base = None
+        ready = [types.SimpleNamespace(state='ready', name='q%d' % i)
+                 for i in range(2)]
+        sibling.rq._entries.extend((0, i, t) for i, t in enumerate(ready))
+        sanitizer.check_now()
+        [violation] = [v for v in sanitizer.violations
+                       if v.invariant == 'silent_ticks_alone']
+        assert silent.name in violation.message
+        assert 'inside the SA upcall handler' in violation.message
+        assert 'no silent base recorded' in violation.message
+        assert 'online sibling %s has 2 ready tasks' % sibling.name \
+            in violation.message
 
     def test_deferred_ticks_on_idle_gcpu_detected(self):
         sim, sanitizer, machine, kernel = sanitized_machine(mode='collect')

@@ -1,8 +1,14 @@
 """Unit tests for the Simulator driver."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.simkernel import LivelockError, SimulationError, Simulator
+from repro.simkernel import (
+    LivelockError,
+    SimulationError,
+    Simulator,
+    install_sanitizer,
+)
 
 
 class TestScheduling:
@@ -168,3 +174,131 @@ class TestRunning:
             sim.at(t, lambda: stamps.append(sim.now))
         sim.run_until_idle()
         assert stamps == sorted(stamps)
+
+
+def _chain_run(silent, period, others, end):
+    """Run a period-``period`` chain plus ``others`` (time, follow-up
+    delay) events. The chain is silenced, or an explicit callback that
+    re-arms itself. Returns what both versions must agree on."""
+    sim = Simulator()
+    log = []
+    chain = []
+
+    def rearm():
+        chain[0] = sim.after(period, rearm)
+
+    def other(name, follow):
+        log.append((sim.now, name))
+        if follow is not None:
+            sim.after(follow, other, name + "'", None)
+
+    # Half the others are scheduled before the chain, half after, so
+    # same-time ties fall on both sides of it.
+    half = len(others) // 2
+    for i, (time, follow) in enumerate(others[:half]):
+        sim.at(time, other, 'o%d' % i, follow)
+    chain.append(sim.after(period, rearm))
+    if silent:
+        sim.silence(chain[0], period)
+    for i, (time, follow) in enumerate(others[half:], half):
+        sim.at(time, other, 'o%d' % i, follow)
+    sim.run_until(end)
+    return (log, sim.now, sim.events_scheduled, chain[0].time,
+            chain[0].seq, sim.pending_events)
+
+
+class TestSilentChains:
+    @given(period=st.integers(1, 5),
+           others=st.lists(st.tuples(st.integers(0, 40),
+                                     st.none() | st.integers(0, 7)),
+                           max_size=12),
+           end=st.integers(0, 50))
+    def test_silenced_chain_matches_self_rearming_callback(
+            self, period, others, end):
+        assert (_chain_run(True, period, others, end)
+                == _chain_run(False, period, others, end))
+
+    def test_silent_rearms_are_not_events_processed(self):
+        sim = Simulator()
+        event = sim.after(10, lambda: None)
+        sim.silence(event, 10)
+        sim.run_until(95)
+        assert sim.events_processed == 0
+        assert sim.events_scheduled == 10
+        assert (event.time, event.seq) == (100, 10)
+        assert sim.now == 95
+
+    def test_sound_fires_at_exact_key(self):
+        sim = Simulator()
+        log = []
+        event = sim.after(10, lambda: log.append(('chain', sim.now)))
+        sim.silence(event, 10)
+        sim.run_until(35)
+        # Scheduled before the re-arm at 30 took its key, so it wins
+        # the tie at 40; a later-scheduled event loses it.
+        early = (40, event.seq - 1)
+        sim.at(40, lambda: log.append(('late', sim.now)))
+        sim.sound(event)
+        assert event.pending and (event.time, event.seq) > early
+        sim.run_until(100)
+        assert log == [('chain', 40), ('late', 40)]
+        assert event.fired and sim.events_processed == 2
+
+    def test_cancel_while_silent(self):
+        sim = Simulator()
+        event = sim.after(10, lambda: None)
+        sim.silence(event, 10)
+        sim.run_until(25)
+        event.cancel()
+        assert not event.pending
+        assert sim.pending_events == 0
+        sim.run_until(100)
+        # Re-arms at 10 and 20 only.
+        assert sim.events_scheduled == 3
+        assert not event.fired
+
+    def test_pending_events_counts_silent_event(self):
+        sim = Simulator()
+        event = sim.after(10, lambda: None)
+        sim.silence(event, 10)
+        sim.run_until(55)
+        assert event.pending
+        assert sim.pending_events == 1
+        assert 'silent' in repr(event)
+
+    def test_run_until_idle_on_silent_chain_raises_livelock(self):
+        sim = Simulator()
+        event = sim.after(1, lambda: None)
+        sim.silence(event, 1)
+        with pytest.raises(LivelockError) as err:
+            sim.run_until_idle(max_events=100)
+        assert err.value.pending == 1
+        assert sim.events_scheduled == 102
+
+    def test_step_never_fires_silenced_event(self):
+        sim = Simulator()
+        fired = []
+        event = sim.after(10, fired.append, 'chain')
+        sim.silence(event, 10)
+        for __ in range(5):
+            assert sim.step()
+        assert fired == []
+        assert sim.now == 50
+        assert (event.time, sim.events_processed) == (60, 0)
+
+    def test_silence_rejects_bad_arguments(self):
+        sim = Simulator()
+        event = sim.after(10, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.silence(event, 0)
+        event.cancel()
+        with pytest.raises(SimulationError):
+            sim.silence(event, 10)
+
+    def test_sanitizer_counts_down_at_silent_rearms(self):
+        sim = Simulator()
+        sanitizer = install_sanitizer(sim, interval=3)
+        event = sim.after(10, lambda: None)
+        sim.silence(event, 10)
+        sim.run_until(95)
+        assert sanitizer.checks == 3

@@ -43,6 +43,29 @@ class TestCounters:
         t = Tracer()
         assert t.counters['nothing'] == 0
 
+    def test_count_on_other_kind_raises_type_error(self):
+        t = Tracer()
+        t.metrics.gauge('g').set(5)
+        with pytest.raises(TypeError):
+            t.count('g')
+        assert t.metrics.get('g').value == 5
+
+    def test_negative_count_raises_value_error(self):
+        t = Tracer()
+        with pytest.raises(ValueError):
+            t.count('x', -1)           # first use
+        t.count('x')
+        with pytest.raises(ValueError):
+            t.count('x', -1)           # existing counter
+        assert t.counters['x'] == 1
+
+    def test_count_after_clear_starts_over(self):
+        t = Tracer()
+        t.count('x', 4)
+        t.clear()
+        t.count('x')
+        assert t.counters['x'] == 1
+
 
 class TestRecords:
     def test_emit_disabled_records_nothing(self):
